@@ -80,9 +80,11 @@ def main() -> int:
     start = len(read_ledger())
 
     # -- a small grid on both engines, fresh then cache-resolved -------
+    # (each engine gets its own workloads: the engine is not part of the
+    # cache key, so one workload on both engines would be one run)
     recipes = [
-        RunRecipe(small_workload(k), scheme, small_config(engine))
-        for engine in ("object", "fast")
+        RunRecipe(small_workload(2 * e + k), scheme, small_config(engine))
+        for e, engine in enumerate(("object", "fast"))
         for scheme in ("inclusive", "ziv:notinprc")
         for k in range(2)
     ]

@@ -45,6 +45,18 @@ def collect_recipes(scale):
     return recipes
 
 
+def fast_path_share(recipes):
+    """Share of the simulated accesses whose recipe runs on the fast
+    engine (``RunRecipe.engine()``: ``engine="auto"`` resolved)."""
+    total = fast = 0
+    for recipe in recipes:
+        accesses = recipe.workload.total_accesses()
+        total += accesses
+        if recipe.engine() == "fast":
+            fast += accesses
+    return fast / total if total else 0.0
+
+
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -82,6 +94,9 @@ def main() -> None:
         run_many(recipes, jobs=args.jobs)
     print(f"simulations done in {time.time() - t_start:.0f}s; "
           f"formatting figures")
+    print(f"fast-path access share: {fast_path_share(recipes):.3f} "
+          f"({sum(r.engine() == 'fast' for r in recipes)} of "
+          f"{len(recipes)} recipes on the fast engine)")
     with open(out_path, "w") as out:
         def emit(text=""):
             print(text)

@@ -5,8 +5,9 @@ Starts a process-mode :class:`~repro.service.server.ServiceServer` on
 an ephemeral port, then asserts the service's core guarantees through
 the client, end to end:
 
-* submit/wait/result on **both engines**, with the engines agreeing on
-  every counter (the differential-oracle contract, now over HTTP);
+* submit/wait/result on **both engines**, with every fast-engine
+  payload agreeing with an object-engine run of the same recipe (the
+  differential-oracle contract, now over HTTP);
 * resubmission resolves from storage without a fresh execution, and the
   payload bytes are identical;
 * three concurrent clients racing one recipe share a single execution
@@ -26,6 +27,7 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 from pathlib import Path
@@ -46,6 +48,7 @@ from repro.service import (  # noqa: E402
     ServiceError,
     create_server,
 )
+from repro.service.api import result_to_dict  # noqa: E402
 from repro.sim.parallel import RunRecipe  # noqa: E402
 from repro.sim.trace import (  # noqa: E402
     CoreTrace,
@@ -84,9 +87,12 @@ def main() -> int:
         assert client.health()["ok"] is True
 
         # -- both engines over HTTP, grid of 2 schemes x 2 workloads ----
+        # (each engine gets its own workloads: the engine is not part of
+        # the cache key, so a point submitted on both would run once)
         grid = [
-            RunRecipe(small_workload(k), scheme, small_config(engine))
-            for engine in ("object", "fast")
+            RunRecipe(small_workload(2 * e + k), scheme,
+                      small_config(engine))
+            for e, engine in enumerate(("object", "fast"))
             for scheme in ("inclusive", "ziv:notinprc")
             for k in range(2)
         ]
@@ -95,16 +101,21 @@ def main() -> int:
         )
         assert len(payloads) == len(grid)
 
-        # engines agree on every counter: pair object/fast payloads of
-        # the same (scheme, workload) point
+        # engines agree on every counter: each fast payload equals an
+        # object-engine run of the same recipe in this process
         half = len(grid) // 2
-        for obj, fast in zip(payloads[:half], payloads[half:]):
+        for recipe, fast in zip(grid[half:], payloads[half:]):
+            obj = result_to_dict(dataclasses.replace(
+                recipe, config=recipe.config.replace(engine="object")
+            ).execute())
             assert obj["summary"] == fast["summary"], (obj, fast)
             assert obj["cycles"] == fast["cycles"]
 
         views = {v["id"]: v for v in client.jobs()}
         assert sorted(v["source"] for v in views.values()) == \
             ["run"] * len(grid)
+        assert sorted(v["engine"] for v in views.values()) == \
+            ["fast"] * half + ["object"] * half
 
         # -- resubmission: storage hit, identical bytes -----------------
         d0 = recipe_to_dict(grid[0])

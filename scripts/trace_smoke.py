@@ -2,16 +2,16 @@
 """CI large-trace smoke: the out-of-core pipeline end to end.
 
 Builds a multi-core workload, round-trips it through the gzip text and
-chunked binary trace formats, then runs it four ways and demands
-bit-identical statistics:
+chunked binary trace formats, then runs it four ways on each engine
+and demands bit-identical statistics:
 
-1. in memory (the reference),
+1. in memory (the object engine's run is the reference),
 2. streamed from the ``tracebin`` file,
 3. streamed with checkpointing on, interrupted (``stop_after``) and
    resumed -- twice, so a resumed run is itself interrupted and resumed
    again (the sharded-across-sessions shape),
-4. via a :class:`~repro.sim.tracebin.TraceRef` recipe (the cache-key
-   path), on both engines.
+4. via a :class:`~repro.sim.tracebin.TraceRef` recipe; the two engines'
+   recipes share one cache key, which resolves through the cache path.
 
 Exits non-zero on the first divergence.  Scale with ``--accesses``:
 
@@ -75,49 +75,58 @@ def main(argv=None) -> int:
         print(f"converted: {info['records']} records, {info['chunks']} "
               f"chunks, {info['bytes']} bytes")
 
-        print(f"[1/4] in-memory run ({total} accesses)")
-        base = run_workload(config, wl, **run_kwargs)
-        base_sig = signature(base)
+        base_sig = None
+        for engine in ("object", "fast"):
+            engine_config = config.replace(engine=engine)
+            print(f"[1/4] {engine}: in-memory run ({total} accesses)")
+            base = run_workload(engine_config, wl, **run_kwargs)
+            if base_sig is None:
+                base_sig = signature(base)
+            assert signature(base) == base_sig, (
+                f"{engine} in-memory run diverged from the object engine"
+            )
 
-        print("[2/4] streamed run")
-        with open_trace(binary) as bw:
-            streamed = run_workload(config, bw, **run_kwargs)
-        assert signature(streamed) == base_sig, (
-            "streamed run diverged from in-memory run"
-        )
-
-        print("[3/4] streamed run, interrupted twice and resumed")
-        ckpt = tmp / "smoke.ckpt"
-        legs = 0
-        resume = None
-        stops = [total // 3, 2 * total // 3, None]
-        result = None
-        for stop in stops:
+            print(f"[2/4] {engine}: streamed run")
             with open_trace(binary) as bw:
-                try:
-                    result = run_workload(
-                        config, bw,
-                        checkpoint_path=ckpt,
-                        stop_after=stop,
-                        resume_from=resume,
-                        **run_kwargs,
-                    )
-                    break
-                except SimulationInterrupted as interrupted:
-                    legs += 1
-                    resume = ckpt
-                    print(f"  leg {legs}: checkpointed at "
-                          f"{interrupted.accesses_done}/{total}")
-        assert result is not None, "smoke run never completed"
-        assert legs == 2, f"expected 2 interrupted legs, got {legs}"
-        assert signature(result) == base_sig, (
-            "checkpoint-kill-resume run diverged from in-memory run"
-        )
+                streamed = run_workload(engine_config, bw, **run_kwargs)
+            assert signature(streamed) == base_sig, (
+                f"{engine} streamed run diverged from in-memory run"
+            )
+
+            print(f"[3/4] {engine}: streamed run, interrupted twice and "
+                  f"resumed")
+            ckpt = tmp / f"smoke-{engine}.ckpt"
+            legs = 0
+            resume = None
+            stops = [total // 3, 2 * total // 3, None]
+            result = None
+            for stop in stops:
+                with open_trace(binary) as bw:
+                    try:
+                        result = run_workload(
+                            engine_config, bw,
+                            checkpoint_path=ckpt,
+                            stop_after=stop,
+                            resume_from=resume,
+                            **run_kwargs,
+                        )
+                        break
+                    except SimulationInterrupted as interrupted:
+                        legs += 1
+                        resume = ckpt
+                        print(f"  leg {legs}: checkpointed at "
+                              f"{interrupted.accesses_done}/{total}")
+            assert result is not None, "smoke run never completed"
+            assert legs == 2, f"expected 2 interrupted legs, got {legs}"
+            assert signature(result) == base_sig, (
+                f"{engine} checkpoint-kill-resume run diverged from "
+                f"in-memory run"
+            )
 
         print("[4/4] TraceRef recipes on both engines")
         ref = make_trace_ref(binary)
-        for engine in ("object", "fast"):
-            recipe = RunRecipe(
+        recipes = [
+            RunRecipe(
                 workload=ref,
                 scheme="ziv:notinprc",
                 config=config.replace(
@@ -125,10 +134,18 @@ def main(argv=None) -> int:
                     telemetry=base.telemetry.params,
                 ),
             )
-            result = fetch_or_run(recipe)
-            assert signature(result) == base_sig, (
-                f"TraceRef run on {engine} engine diverged"
+            for engine in ("object", "fast")
+        ]
+        assert recipes[0].key() == recipes[1].key(), (
+            "the engines' recipes must share one cache key"
+        )
+        for recipe in recipes:
+            assert signature(recipe.execute()) == base_sig, (
+                f"TraceRef run on {recipe.config.engine} engine diverged"
             )
+        assert signature(fetch_or_run(recipes[1])) == base_sig, (
+            "TraceRef recipe diverged through the cache path"
+        )
 
     print("trace smoke: all runs bit-identical")
     return 0

@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
         config = load_config(args.config)
     else:
         config = scaled_config(args.l2)
-    if args.engine != config.engine:
+    if args.engine is not None and args.engine != config.engine:
         config = config.replace(engine=args.engine)
     if args.trace:
         from repro.sim.tracebin import open_trace
@@ -309,7 +309,7 @@ def _cmd_submit(args) -> int:
         from repro.params import scaled_config
 
         config = scaled_config(args.l2)
-        if args.engine != config.engine:
+        if args.engine is not None and args.engine != config.engine:
             config = config.replace(engine=args.engine)
         if args.workload.startswith("mt:"):
             workload = {"kind": "mt", "app": args.workload[3:],
@@ -377,6 +377,8 @@ def _cmd_jobs(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.params import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Zero Inclusion Victim LLC reproduction (ISCA 2021)",
@@ -402,11 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", default="512KB",
                    choices=("256KB", "512KB", "768KB", "1MB"))
     p.add_argument("--accesses", type=int, default=4000)
-    p.add_argument("--engine", default="object",
-                   choices=("object", "fast"),
-                   help="simulation engine: the reference object engine "
-                        "or the array-state fast engine (identical "
-                        "statistics, several times faster)")
+    p.add_argument("--engine", default=None, choices=ENGINES,
+                   help="simulation engine: 'auto' (the array-state fast "
+                        "engine wherever it models the run, else the "
+                        "reference object engine), 'object' or 'fast' "
+                        "(identical statistics; default: the config's "
+                        "engine, 'auto' unless --config says otherwise)")
     p.add_argument("--config", default=None, metavar="FILE.json",
                    help="machine description (see repro.config_io)")
     p.add_argument("--audit", nargs="?", const="end", default=None,
@@ -565,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", default="512KB",
                    choices=("256KB", "512KB", "768KB", "1MB"))
     p.add_argument("--accesses", type=int, default=4000)
-    p.add_argument("--engine", default="object",
-                   choices=("object", "fast"))
+    p.add_argument("--engine", default=None, choices=ENGINES,
+                   help="simulation engine (default: 'auto')")
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds to wait for the result")
     p.add_argument("--no-wait", action="store_true",

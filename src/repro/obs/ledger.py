@@ -156,14 +156,24 @@ def record_from_result(
     scheduling: str = "timing",
     trace_path: str = "",
     resumed_from: str = "",
+    engine: Optional[str] = None,
 ) -> LedgerRecord:
     """Build the ledger record for one completed run.
+
+    ``engine`` names the engine that ran (or, for a cache hit, the one
+    the recipe resolves to); when omitted it is resolved from ``config``
+    and the result's scheme and policy, so a record never says
+    ``"auto"``.
 
     Every :class:`LedgerRecord` field is passed as an explicit keyword
     below -- the ``ledger-schema-sync`` lint rule checks that this
     construction site covers the full schema, so a new field cannot be
     added to the dataclass without deciding what writers record for it.
     """
+    if engine is None:
+        from repro.sim.fast import resolve_engine
+
+        engine = resolve_engine(config, result.scheme, result.policy)
     audit = result.audit
     telemetry = result.telemetry
     profile = result.profile
@@ -183,7 +193,7 @@ def record_from_result(
         scheme=result.scheme,
         policy=result.policy,
         scheduling=scheduling,
-        engine=getattr(config, "engine", "object"),
+        engine=engine,
         config_digest=config_digest(config),
         source=source,
         cache_hit=not fresh,

@@ -356,7 +356,9 @@ class CHARParams:
 #: The simulation engines a configuration may name.  Shared with
 #: ``config_io`` so dict-form validation (and the simulation service's
 #: structured rejection errors) stays in lockstep with the constructor.
-ENGINES: tuple[str, ...] = ("object", "fast")
+#: ``"auto"`` runs the fast engine whenever it models the run and the
+#: object engine otherwise (``repro.sim.fast.resolve_engine``).
+ENGINES: tuple[str, ...] = ("auto", "object", "fast")
 
 
 @dataclass(frozen=True)
@@ -378,7 +380,7 @@ class SystemConfig:
     directory_mode: str = "mesi"  # "mesi" (bounded) or "zerodev" (spilling)
     relocation_fifo_depth: int = 8
     nextrs_latency: int = 3  # cycles to recompute decoded nextRS (synthesis)
-    engine: str = "object"  # "object" (reference oracle) or "fast" (arrays)
+    engine: str = "auto"  # "auto", "object" (reference) or "fast" (arrays)
 
     def __post_init__(self) -> None:
         if self.cores <= 0:

@@ -97,7 +97,7 @@ class Job:
             "policy": r.policy,
             "scheduling": r.scheduling,
             "workload": r.workload.name,
-            "engine": r.config.engine,
+            "engine": r.engine(),
             "submitted_ts": self.submitted_ts,
             "started_ts": self.started_ts,
             "finished_ts": self.finished_ts,
@@ -327,7 +327,7 @@ class JobManager:
             accesses_per_s=rate,
             eta_s=None,
             key=job.key,
-            engine=job.recipe.config.engine,
+            engine=job.recipe.engine(),
         ))
 
     def _publish(self, kind: str, job: Job) -> None:  # repro-lint: holds[_lock]

@@ -501,6 +501,36 @@ class _BoundaryController:
             )
 
 
+def build_hierarchy(
+    config,
+    scheme_name: str,
+    llc_policy: str = "lru",
+    scheme_kwargs: Optional[dict] = None,
+    policy_kwargs: Optional[dict] = None,
+    oracle=None,
+):
+    """The hierarchy of the engine :func:`repro.sim.fast.resolve_engine`
+    picks: the reference :class:`~repro.hierarchy.cmp.CacheHierarchy`
+    or the array-state :class:`~repro.sim.fast.FastHierarchy` (which
+    raises :class:`~repro.sim.fast.UnsupportedConfigError` outside its
+    envelope, e.g. on an explicit ``engine="fast"`` Belady run)."""
+    from repro.hierarchy.cmp import CacheHierarchy
+    from repro.schemes import make_scheme
+    from repro.sim.fast import FastHierarchy, resolve_engine
+
+    if resolve_engine(config, scheme_name, llc_policy, scheme_kwargs,
+                      policy_kwargs, oracle) == "fast":
+        return FastHierarchy(config, scheme_name, llc_policy,
+                             scheme_kwargs, policy_kwargs)
+    return CacheHierarchy(
+        config,
+        make_scheme(scheme_name, **(scheme_kwargs or {})),
+        llc_policy=llc_policy,
+        oracle=oracle,
+        policy_kwargs=policy_kwargs,
+    )
+
+
 def run_workload(
     config,
     workload,
@@ -536,12 +566,13 @@ def run_workload(
     append -- the resumed completion does, carrying its checkpoint
     lineage in ``resumed_from``.
 
-    ``config.engine`` selects the implementation: ``"object"`` (default)
-    builds the reference :class:`~repro.hierarchy.cmp.CacheHierarchy`;
-    ``"fast"`` builds the array-state
-    :class:`~repro.sim.fast.FastHierarchy`, which produces identical
-    statistics (the differential harness enforces this) but does not
-    support replacement oracles.
+    ``config.engine`` selects the implementation (:func:`build_hierarchy`).
+    ``"auto"`` (default) runs the array-state fast engine whenever it
+    models the run -- the inclusive, non-inclusive and object-property
+    ZIV schemes over LRU/SRRIP/NRU/Hawkeye, without prefetching or
+    keyword arguments -- and the reference object engine otherwise
+    (CHAR-based ZIV, QBS/SHARP/CharonBase, Belady and other oracles,
+    DRRIP).  Both give identical statistics (``repro.sim.differential``).
 
     ``workload`` may also be a :class:`~repro.sim.tracebin.TraceRef`
     (resolved -- and fingerprint-verified -- to a streaming
@@ -549,35 +580,13 @@ def run_workload(
     checkpoint/streaming keywords (``checkpoint_path``,
     ``checkpoint_every``, ``resume_from``, ``stop_after``, ``progress``)
     pass straight through to :meth:`Simulation.run`."""
-    from repro.hierarchy.cmp import CacheHierarchy
-    from repro.schemes import make_scheme
     from repro.sim.tracebin import resolve_workload
 
     workload = resolve_workload(workload)
-
-    if getattr(config, "engine", "object") == "fast":
-        from repro.sim.fast import FastHierarchy
-
-        if oracle is not None:
-            raise ValueError(
-                "replacement oracles require the object engine; "
-                "set engine='object' to use oracle="
-            )
-        hierarchy = FastHierarchy(
-            config,
-            scheme_name,
-            llc_policy=llc_policy,
-            policy_kwargs=policy_kwargs,
-        )
-    else:
-        scheme = make_scheme(scheme_name)
-        hierarchy = CacheHierarchy(
-            config,
-            scheme,
-            llc_policy=llc_policy,
-            oracle=oracle,
-            policy_kwargs=policy_kwargs,
-        )
+    hierarchy = build_hierarchy(
+        config, scheme_name, llc_policy,
+        policy_kwargs=policy_kwargs, oracle=oracle,
+    )
     sim = Simulation(
         hierarchy,
         workload,
@@ -669,6 +678,7 @@ def _append_direct_ledger_record(
                 if isinstance(resume_from, SimCheckpoint)
                 else str(resume_from)
             ),
+            engine=sim.hierarchy.engine_name,
         ))
     except Exception:
         # Observability must never break the simulation result path.

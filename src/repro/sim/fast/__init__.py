@@ -7,7 +7,9 @@ object engine's counters, audit state and telemetry bit-for-bit -- the
 differential harness in :mod:`repro.sim.differential` enforces this --
 while running several times faster, which makes dense sweeps practical.
 
-Select it with ``SystemConfig(engine="fast")`` or ``--engine fast``.
+``SystemConfig(engine="auto")``, the default, selects it for every run
+inside its envelope (:func:`resolve_engine`); ``engine="fast"`` or
+``--engine fast`` forces it.
 """
 
 from repro.sim.fast.engine import (
@@ -15,6 +17,7 @@ from repro.sim.fast.engine import (
     SUPPORTED_SCHEMES,
     FastHierarchy,
     UnsupportedConfigError,
+    resolve_engine,
     supports,
 )
 
@@ -22,6 +25,7 @@ __all__ = [
     "FastHierarchy",
     "UnsupportedConfigError",
     "supports",
+    "resolve_engine",
     "SUPPORTED_POLICIES",
     "SUPPORTED_SCHEMES",
 ]

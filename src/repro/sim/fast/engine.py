@@ -11,7 +11,10 @@ integers instead of per-block objects:
   bits 4+ = RRPV) and one LRU-stamp list, plus a single address -> pos
   dict covering home and relocated copies (the two never coexist for one
   address, and the relocated bit disambiguates a relocated block that
-  happens to sit in its home set).
+  happens to sit in its home set).  Hawkeye adds per-position
+  ``friendly`` and ``last_pc`` lists and reuses the object policy's
+  ``HawkeyePredictor`` (one, shared by every bank) and OPTgen sampler
+  ``_SampledSet`` (one per sampled bank-local set) verbatim.
 * **Private L1/L2** -- the same tag/dirty/stamp layout per cache with a
   per-cache monotone LRU clock, mirroring the per-policy clock of the
   object engine.
@@ -31,16 +34,21 @@ merely statistically close.  ``repro.sim.differential`` asserts this on
 every supported scheme x policy x workload combination.
 
 The supported envelope is the paper's core grid -- inclusive,
-non-inclusive and the object-property ZIV variants over LRU/SRRIP/NRU --
-and :func:`supports` reports whether a configuration falls inside it;
-anything else (Hawkeye/Belady policies, CHAR-assisted schemes, QBS/SHARP,
-prefetching) stays on the object engine.
+non-inclusive and the object-property ZIV variants over
+LRU/SRRIP/NRU/Hawkeye, with no prefetching and no scheme/policy keyword
+arguments -- and :func:`supports` reports whether a configuration falls
+inside it.  ``SystemConfig(engine="auto")``, the default, runs every
+configuration inside it here (:func:`resolve_engine`); everything else
+(the CHAR-based ZIV schemes, QBS/SHARP/CharonBase and the other
+schemes, Belady and other oracles, DRRIP and the other policies,
+prefetching, keyword arguments) stays on the object engine.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.cache.replacement.hawkeye import HawkeyePolicy, _SampledSet
 from repro.core.properties import PROPERTY_LADDERS
 from repro.core.property_vector import PropertyVector
 from repro.core.relocation import RelocationTracker
@@ -68,7 +76,7 @@ SUPPORTED_SCHEMES = frozenset({
 })
 
 #: LLC replacement policies with array ports.
-SUPPORTED_POLICIES = frozenset({"lru", "srrip", "nru"})
+SUPPORTED_POLICIES = frozenset({"lru", "srrip", "nru", "hawkeye"})
 
 #: RRPV width shared by every supported policy (ReplacementPolicy.max_rrpv).
 _MAX_RRPV = 7
@@ -89,6 +97,25 @@ def supports(
         and not policy_kwargs
         and config.prefetch.kind == "none"
     )
+
+
+def resolve_engine(
+    config: SystemConfig,
+    scheme_name: str,
+    llc_policy: str = "lru",
+    scheme_kwargs: Optional[dict] = None,
+    policy_kwargs: Optional[dict] = None,
+    oracle=None,
+) -> str:
+    """The engine a run uses: ``config.engine``, with ``"auto"`` resolved
+    to ``"fast"`` when :func:`supports` accepts the run and no
+    replacement oracle is passed, else to ``"object"``."""
+    if config.engine != "auto":
+        return config.engine
+    if oracle is None and supports(config, scheme_name, llc_policy,
+                                   scheme_kwargs, policy_kwargs):
+        return "fast"
+    return "object"
 
 
 class _FlatCache:
@@ -233,6 +260,14 @@ class FastHierarchy:
         ]
 
         # -- replacement policy dispatch -----------------------------------
+        # ``_llc_evict`` (None unless the policy learns from evictions)
+        # and ``_llc_reloc_fill`` mirror ReplacementPolicy.on_evict and
+        # on_relocation_fill (``promote``, QBS's move-to-MRU, has no call
+        # site inside the envelope).  ``_pc`` is the PC of the access in
+        # flight, set once per LLC access; only Hawkeye reads it.
+        self._pc = 0
+        self._llc_evict = None
+        self._llc_reloc_fill = self._reloc_fill_pos_default
         if llc_policy == "lru":
             self._llc_fill = self._fill_pos_lru
             self._llc_touch = self._touch_pos_lru
@@ -241,10 +276,30 @@ class FastHierarchy:
             self._llc_fill = self._fill_pos_srrip
             self._llc_touch = self._touch_pos_srrip
             self._victim = self._victim_srrip
-        else:  # nru
+        elif llc_policy == "nru":
             self._llc_fill = self._fill_pos_nru
             self._llc_touch = self._touch_pos_nru
             self._victim = self._victim_nru
+        else:
+            # Hawkeye with its default parameters (policy_kwargs are
+            # outside the envelope): one predictor shared by every bank,
+            # as LastLevelCache shares it, and one OPTgen sampler per
+            # sampled bank-local set, indexed here by global set id.
+            ref = HawkeyePolicy()
+            self._hk_predictor = ref.predictor
+            window = ref.window_factor * llc.ways
+            self._hk_samplers = [
+                _SampledSet(window) if s % ref.sample_every == 0 else None
+                for _bank in range(llc.banks)
+                for s in range(llc.sets_per_bank)
+            ]
+            self.llc_friendly = [True] * n
+            self.llc_last_pc = [0] * n
+            self._llc_fill = self._fill_pos_hawkeye
+            self._llc_touch = self._touch_pos_hawkeye
+            self._victim = self._victim_hawkeye
+            self._llc_evict = self._evict_pos_hawkeye
+            self._llc_reloc_fill = self._reloc_fill_pos_hawkeye
 
         # -- scheme state --------------------------------------------------
         if self._ziv:
@@ -361,6 +416,7 @@ class FastHierarchy:
             return self._l12_lat + extra
 
         cs.l2_misses += 1
+        self._pc = pc
         return self._llc_access(core, addr, is_write, cycle)
 
     # -------------------------------------------------------------- LLC path
@@ -695,6 +751,8 @@ class FastHierarchy:
                 f"stale relocation pointer while killing {addr:#x}"
             )
         dirty = bool(m & 1) or notice_dirty
+        if self._llc_evict is not None:
+            self._llc_evict(rp)
         del self.llc_map[addr]
         self.llc_tag[rp] = -1
         sid = rp // self.llc_ways
@@ -839,6 +897,8 @@ class FastHierarchy:
             )
         if reloc >= 0:
             dirty = bool(self.llc_meta[reloc] & 1) or dirty_any
+            if self._llc_evict is not None:
+                self._llc_evict(reloc)
             del self.llc_map[self.llc_tag[reloc]]
             self.llc_tag[reloc] = -1
             sid = reloc // self.llc_ways
@@ -903,6 +963,8 @@ class FastHierarchy:
 
     def _evict_llc(self, pos: int, cycle: int) -> None:
         """Evict the valid block at ``pos``; dirty data goes to memory."""
+        if self._llc_evict is not None:
+            self._llc_evict(pos)
         m = self.llc_meta[pos]
         addr = self.llc_tag[pos]
         del self.llc_map[addr]
@@ -989,6 +1051,81 @@ class FastHierarchy:
             if not (metas[p] & 8):
                 return p
         return base
+
+    def _reloc_fill_pos_default(self, pos: int, src: int) -> None:
+        # ReplacementPolicy.on_relocation_fill: a normal fill.
+        self._llc_fill(pos)
+
+    def _hk_observe(self, sid: int, addr: int, pc: int) -> None:
+        """HawkeyePolicy._observe: feed a sampled set's OPTgen and train
+        the shared predictor on its verdict."""
+        sampler = self._hk_samplers[sid]
+        if sampler is not None:
+            outcome = sampler.access(addr, pc, self.llc_ways)
+            if outcome is not None:
+                self._hk_predictor.train(outcome[0], outcome[1])
+
+    def _hk_predict(self, pos: int, pc: int) -> bool:
+        """HawkeyePolicy._apply_prediction's bookkeeping: the block
+        remembers ``pc`` and the predictor's verdict on it."""
+        self.llc_last_pc[pos] = pc
+        friendly = self._hk_predictor.is_friendly(pc)
+        self.llc_friendly[pos] = friendly
+        return friendly
+
+    def _fill_pos_hawkeye(self, pos: int) -> None:
+        """HawkeyePolicy.on_fill: observe, then predict; a friendly fill
+        (RRPV 0, already clear on entry) ages the set's other valid
+        lines below ``max_rrpv - 1``."""
+        ways = self.llc_ways
+        sid = pos // ways
+        pc = self._pc
+        self._hk_observe(sid, self.llc_tag[pos], pc)
+        metas = self.llc_meta
+        if not self._hk_predict(pos, pc):
+            metas[pos] |= _MAX_RRPV << 4
+            return
+        tags = self.llc_tag
+        base = sid * ways
+        for p in range(base, base + ways):
+            # RRPV < max_rrpv - 1, read off the packed word
+            if p != pos and tags[p] >= 0 and metas[p] < (_MAX_RRPV - 1) << 4:
+                metas[p] += 1 << 4
+
+    def _touch_pos_hawkeye(self, pos: int) -> None:
+        """HawkeyePolicy.on_hit: observe, then re-predict (no aging)."""
+        pc = self._pc
+        self._hk_observe(pos // self.llc_ways, self.llc_tag[pos], pc)
+        m = self.llc_meta[pos] & 0xF
+        self.llc_meta[pos] = (
+            m if self._hk_predict(pos, pc) else m | (_MAX_RRPV << 4)
+        )
+
+    def _evict_pos_hawkeye(self, pos: int) -> None:
+        """HawkeyePolicy.on_evict: a friendly block leaving unreused
+        detrains the PC that inserted it."""
+        if self.llc_friendly[pos]:
+            self._hk_predictor.detrain(self.llc_last_pc[pos])
+
+    def _reloc_fill_pos_hawkeye(self, pos: int, src: int) -> None:
+        """HawkeyePolicy.on_relocation_fill: the block keeps its last
+        load PC and takes the predictor's opinion of it, with neither a
+        sampler observation nor aging."""
+        if not self._hk_predict(pos, self.llc_last_pc[src]):
+            self.llc_meta[pos] |= _MAX_RRPV << 4
+
+    def _victim_hawkeye(self, base: int) -> int:
+        """HawkeyePolicy's victim: the highest RRPV, lowest way on
+        ties; unlike SRRIP, nothing ages."""
+        metas = self.llc_meta
+        pos = base
+        best = metas[base] >> 4
+        for p in range(base + 1, base + self.llc_ways):
+            r = metas[p] >> 4
+            if r > best:
+                best = r
+                pos = p
+        return pos
 
     # --------------------------------------------------------- scheme installs
 
@@ -1178,13 +1315,13 @@ class FastHierarchy:
         tags[src_pos] = -1
         self.llc_vcount[src_sid] -= 1
         # install relocated: keeps address and dirtiness, Relocated on,
-        # replacement state initialised as a normal fill
+        # replacement state from the policy's relocation-fill hook
         tags[dst_pos] = maddr
         self.llc_meta[dst_pos] = 2 | (mmeta & 1)
         self.llc_stamp[dst_pos] = 0
         self.llc_map[maddr] = dst_pos
         self.llc_vcount[dst_sid] += 1
-        self._llc_fill(dst_pos)
+        self._llc_reloc_fill(dst_pos, src_pos)
         dpos = self._dir_lookup(maddr)
         if dpos < 0:
             raise ZIVInvariantError(
@@ -1437,7 +1574,14 @@ class FastHierarchy:
         pol = self.policy_name
         pol_lru = pol == "lru"
         pol_srrip = pol == "srrip"
-        baseline_install = not ziv  # inline install for inclusive/noninclusive
+        pol_nru = pol == "nru"
+        # Hawkeye runs through the policy hooks (fills go through
+        # ``install``, hits through ``touch``), which read the PC of the
+        # access in flight from ``self._pc``.
+        hawkeye = pol == "hawkeye"
+        touch = self._llc_touch
+        # inline install for inclusive/noninclusive over LRU/SRRIP/NRU
+        baseline_install = not ziv and not hawkeye
         dch_mask = self._dram_ch_mask
         dch_shift = self._dram_ch_shift
         dbpc = self._dram_bpc
@@ -1478,6 +1622,9 @@ class FastHierarchy:
             cols_t.append(entry[0])
             instr_t.append(entry[1])
             trace_ends.append(len(entry[0]))
+        pcs_t = (
+            [[r.pc for r in t.records] for t in workload] if hawkeye else None
+        )
         if profiler is not None:
             profiler.exit("decode")
 
@@ -1563,6 +1710,8 @@ class FastHierarchy:
                     latency = l12_lat + extra
                 else:
                     c_l2m[core] += 1
+                    if hawkeye:
+                        self._pc = pcs_t[core][idx]
                     # ---- LLC access (fused) ------------------------------
                     dpos = d_map.get(addr, -1)
                     if 0 <= dpos < d_slice:
@@ -1595,8 +1744,10 @@ class FastHierarchy:
                                 llc_stamp[hp] = llc_clock[bank]
                             elif pol_srrip:
                                 llc_meta[hp] &= 0xF
-                            else:
+                            elif pol_nru:
                                 llc_meta[hp] |= 8
+                            else:
+                                touch(hp)
                             llc_meta[hp] &= ~4
                             if ziv:
                                 refresh(hp // ways)

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.params import SystemConfig
-from repro.sim.engine import SimResult, Simulation
+from repro.sim.engine import SimResult, Simulation, build_hierarchy
 from repro.sim.trace import Workload
 
 #: Version tag baked into every cache key.  Bump on any change that
@@ -66,7 +66,10 @@ from repro.sim.trace import Workload
 #: SystemConfig the ``profile`` section; pre-profile pickles would
 #: deserialise without the attribute, and profiled runs must never
 #: alias entries keyed before the section joined the hash preimage.
-CACHE_VERSION = "6"
+#: "7": ``engine`` left the hash preimage (the engines are bit-identical,
+#: so an object run and a fast run of one recipe share one entry) and
+#: ``"auto"`` became the default engine.
+CACHE_VERSION = "7"
 
 _DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -103,9 +106,12 @@ class RunRecipe:
     policy_kwargs: tuple = ()
 
     def describe(self) -> str:
-        """Canonical JSON description -- the hash preimage of :meth:`key`."""
+        """Canonical JSON description -- the hash preimage of :meth:`key`
+        (without ``config.engine``: the engines are bit-identical)."""
         from repro.config_io import config_to_dict
 
+        config = config_to_dict(self.config)
+        del config["engine"]
         return json.dumps(
             {
                 "version": CACHE_VERSION,
@@ -115,7 +121,7 @@ class RunRecipe:
                 "scheduling": self.scheduling,
                 "scheme_kwargs": list(self.scheme_kwargs),
                 "policy_kwargs": list(self.policy_kwargs),
-                "config": config_to_dict(self.config),
+                "config": config,
             },
             sort_keys=True,
         )
@@ -129,45 +135,27 @@ class RunRecipe:
             object.__setattr__(self, "_key", cached)
         return cached
 
+    def engine(self) -> str:
+        """The engine :meth:`execute` runs (``"auto"`` resolved)."""
+        from repro.sim.fast import resolve_engine
+
+        return resolve_engine(self.config, self.scheme, self.policy,
+                              dict(self.scheme_kwargs) or None,
+                              dict(self.policy_kwargs) or None)
+
     def execute(self) -> SimResult:
         """Run the simulation this recipe describes (no caching)."""
-        from repro.hierarchy.cmp import CacheHierarchy
-        from repro.schemes import make_scheme
         from repro.sim.tracebin import resolve_workload
 
         workload = resolve_workload(self.workload)
         try:
-            if self.config.engine == "fast":
-                from repro.sim.fast import FastHierarchy
-
-                fast_hierarchy = FastHierarchy(
-                    self.config,
-                    self.scheme,
-                    llc_policy=self.policy,
-                    scheme_kwargs=dict(self.scheme_kwargs) or None,
-                    policy_kwargs=dict(self.policy_kwargs) or None,
-                )
-                return Simulation(
-                    fast_hierarchy,
-                    workload,
-                    scheduling=self.scheduling,
-                    llc_policy_name=self.policy,
-                    audit=self.config.audit,
-                    telemetry=self.config.telemetry,
-                ).run()
             oracle = None
             if self.policy == "belady":
                 oracle = _oracle_for(workload)
-            scheme = make_scheme(self.scheme, **dict(self.scheme_kwargs))
-            hierarchy = CacheHierarchy(
-                self.config,
-                scheme,
-                llc_policy=self.policy,
-                oracle=oracle,
-                policy_kwargs=dict(self.policy_kwargs) or None,
-            )
             sim = Simulation(
-                hierarchy,
+                build_hierarchy(self.config, self.scheme, self.policy,
+                                dict(self.scheme_kwargs) or None,
+                                dict(self.policy_kwargs) or None, oracle),
                 workload,
                 scheduling=self.scheduling,
                 llc_policy_name=self.policy,
@@ -466,6 +454,7 @@ def _ledger_append(
             scheduling=recipe.scheduling,
             trace_path=str(getattr(recipe.workload, "path", "") or ""),
             resumed_from="",
+            engine=recipe.engine(),
         ))
     except Exception:
         pass
@@ -560,7 +549,7 @@ def run_many(
             if tracker is not None:
                 heartbeat(tracker.advance(label_of(i, recipe), source,
                                           result, key=keys[i],
-                                          engine=recipe.config.engine))
+                                          engine=recipe.engine()))
             out.append(result)
         return out
 
@@ -577,7 +566,7 @@ def run_many(
             if tracker is not None:
                 heartbeat(tracker.advance(label_of(i, recipe), source,
                                           cached, key=key,
-                                          engine=recipe.config.engine))
+                                          engine=recipe.engine()))
             continue
         pending[key] = recipe
         pending_label[key] = label_of(i, recipe)
@@ -589,7 +578,7 @@ def run_many(
             if key in pending and key in seen:
                 heartbeat(tracker.advance(pending_label[key], "memo", None,
                                           key=key,
-                                          engine=recipe.config.engine))
+                                          engine=recipe.engine()))
             seen.add(key)
 
     if pending:
@@ -607,7 +596,7 @@ def run_many(
                     if tracker is not None:
                         heartbeat(tracker.advance(
                             pending_label[key], "run", result, key=key,
-                            engine=pending[key].config.engine,
+                            engine=pending[key].engine(),
                         ))
                 completed = results
         if len(items) == 1:
@@ -616,7 +605,7 @@ def run_many(
             if tracker is not None:
                 heartbeat(tracker.advance(pending_label[key], "run", result,
                                           key=key,
-                                          engine=pending[key].config.engine))
+                                          engine=pending[key].engine()))
         for key, result, _wall_s in completed:
             publish_result(key, result)
 

@@ -556,7 +556,7 @@ class RunProgress:
     simulated runs only (cache hits would inflate it), and ``eta_s`` is
     None until at least one fresh simulation has completed.  ``key`` is
     the resolved recipe's full cache key (``short_key`` truncates it for
-    display) and ``engine`` the configured hierarchy engine, so
+    display) and ``engine`` the engine the recipe resolves to, so
     interleaved heartbeats from different fleets stay attributable and
     cross-reference the run ledger."""
 

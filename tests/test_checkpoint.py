@@ -80,6 +80,22 @@ def test_resumed_run_bit_identical(tmp_path, engine, scheduling):
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
+def test_hawkeye_resume_bit_identical(tmp_path, engine):
+    """Hawkeye's learned state (predictor, OPTgen samplers, per-block
+    predictions) survives a checkpoint on both engines."""
+    wl = make_workload(seed=3)
+    config = tiny_config(cores=2).replace(engine=engine)
+    kwargs = dict(scheme_name="ziv:maxrrpvnotinprc", llc_policy="hawkeye")
+    base = run_workload(config, wl, **kwargs)
+    ckpt = tmp_path / "run.ckpt"
+    with pytest.raises(SimulationInterrupted):
+        run_workload(config, wl, checkpoint_path=ckpt,
+                     checkpoint_every=300, stop_after=600, **kwargs)
+    resumed = run_workload(config, wl, resume_from=ckpt, **kwargs)
+    assert result_signature(resumed) == result_signature(base)
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
 def test_streamed_checkpoint_resume_bit_identical(tmp_path, engine):
     # The full out-of-core path: binary trace, interrupted streamed run,
     # resumed streamed run, compared against the in-memory run.
@@ -120,7 +136,7 @@ def test_resume_across_audit(tmp_path):
 
 def test_progress_heartbeats(tmp_path):
     wl = make_workload(seed=4)
-    config = tiny_config(cores=2)
+    config = tiny_config(cores=2).replace(engine="object")
     beats: list[StreamProgress] = []
     run_workload(
         config, wl, "inclusive",

@@ -76,6 +76,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "inclusive" in out and "noninclusive" in out
 
+    def test_run_engine_defaults_to_the_config(self, capsys, tmp_path,
+                                               monkeypatch):
+        """``--engine`` overrides the config only when given; the
+        default config's "auto" runs a supported recipe on the fast
+        engine (the direct ledger record names the engine that ran)."""
+        from repro.config_io import save_config
+        from repro.obs.ledger import read_ledger
+        from repro.params import scaled_config
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "object.json"
+        save_config(scaled_config("256KB").replace(engine="object"), path)
+        base = ["run", "--workload", "leela.1", "--accesses", "300",
+                "--scheme", "ziv:maxrrpvnotinprc", "--policy", "hawkeye"]
+        for extra in ([], ["--config", str(path)],
+                      ["--config", str(path), "--engine", "auto"],
+                      ["--engine", "object"]):
+            assert main(base + extra) == 0
+        capsys.readouterr()
+        assert [r.engine for r in read_ledger()] == [
+            "fast", "object", "fast", "object"]
+
     def test_run_with_config_file(self, capsys, tmp_path):
         from repro.config_io import save_config
         from repro.params import scaled_config

@@ -79,6 +79,35 @@ def test_grid_cell_identical(workloads, scheme, policy):
         assert report.ok, report.summary()
 
 
+@pytest.mark.parametrize("scheme", GRID_SCHEMES)
+def test_hawkeye_zerodev_identical(workloads, scheme):
+    """The Hawkeye port under a ZeroDEV directory (the MESI cells are
+    part of the scheme x policy grid above)."""
+    assert "hawkeye" in GRID_POLICIES
+    for wl in workloads:
+        report = _cell(wl, scheme, "hawkeye", directory_mode="zerodev")
+        assert report.ok, report.summary()
+
+
+def test_hawkeye_predictor_state_identical(workloads):
+    """Beyond the results: the object LLC's shared predictor and the
+    fast engine's end the run with the same counter table."""
+    from repro.params import scaled_config
+    from repro.sim.engine import Simulation, build_hierarchy
+
+    config = scaled_config("256KB", cores=CORES)
+    tables = []
+    for engine in ("object", "fast"):
+        h = build_hierarchy(config.replace(engine=engine),
+                            "ziv:maxrrpvnotinprc", "hawkeye")
+        Simulation(h, workloads[1]).run()
+        predictor = (h.llc.hawkeye_predictor if engine == "object"
+                     else h._hk_predictor)
+        tables.append(list(predictor.table))
+    assert tables[0] == tables[1]
+    assert tables[0] != [tables[0][0]] * len(tables[0])  # it learned
+
+
 @pytest.mark.parametrize("scheme", ("inclusive", "ziv:notinprc"))
 def test_zerodev_directory_identical(workloads, scheme):
     report = _cell(workloads[0], scheme, "lru", directory_mode="zerodev")
@@ -198,7 +227,26 @@ if HAVE_HYPOTHESIS:
     def test_random_traces_identical(seed, scheme, policy, directory_mode):
         _assert_random_cell(seed, scheme, policy, directory_mode)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scheme=st.sampled_from(GRID_SCHEMES),
+        directory_mode=st.sampled_from(("mesi", "zerodev")),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_random_traces_identical_hawkeye(seed, scheme, directory_mode):
+        _assert_random_cell(seed, scheme, "hawkeye", directory_mode)
+
 else:
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_traces_identical_hawkeye(seed):
+        rng = random.Random(seed * 104729 + 3)
+        _assert_random_cell(
+            seed,
+            rng.choice(GRID_SCHEMES),
+            "hawkeye",
+            rng.choice(("mesi", "zerodev")),
+        )
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_traces_identical(seed):

@@ -142,7 +142,7 @@ class TestLedgerRecord:
 
 class TestLedgerAppends:
     def test_run_workload_appends_a_direct_record(self, obs_cache):
-        cfg = tiny_config()
+        cfg = tiny_config().replace(engine="object")
         wl = make_workload()
         result = run_workload(cfg, wl, "inclusive")
         records = read_ledger()
@@ -161,6 +161,30 @@ class TestLedgerAppends:
         assert rec.config_digest == config_digest(cfg)
         assert rec.version == LEDGER_VERSION
         assert rec.host_cpus == (os.cpu_count() or 1)
+
+    def test_records_name_the_engine_that_ran(self, obs_cache):
+        """The default engine is "auto", which never reaches the ledger
+        or the heartbeats: a run inside the fast engine's envelope
+        records "fast", one outside it "object", on every path."""
+        cfg = tiny_config()
+        assert cfg.engine == "auto"
+        wl = make_workload()
+        recipes = [RunRecipe(wl, "inclusive", cfg, "hawkeye"),
+                   RunRecipe(wl, "qbs", cfg)]
+        beats = []
+        run_many(recipes, heartbeat=beats.append)
+        run_many(recipes)
+        run_workload(cfg, wl, "ziv:notinprc")
+        run_workload(cfg, wl, "sharp")
+        assert [(r.scheme, r.source, r.engine) for r in read_ledger()] == [
+            ("inclusive", "run", "fast"),
+            ("qbs", "run", "object"),
+            ("inclusive", "memo", "fast"),
+            ("qbs", "memo", "object"),
+            ("ziv:notinprc", "direct", "fast"),
+            ("sharp", "direct", "object"),
+        ]
+        assert [b.engine for b in beats] == ["fast", "object"]
 
     def test_run_many_appends_run_then_memo_records(self, obs_cache):
         cfg = tiny_config()

@@ -8,7 +8,8 @@ import pytest
 
 from tests.conftest import tiny_config
 
-from repro.sim.engine import Simulation, SimResult
+from repro.sim.engine import Simulation, SimResult, build_hierarchy
+from repro.sim.fast import UnsupportedConfigError
 from repro.sim.parallel import (
     RunRecipe,
     cache_dir,
@@ -130,6 +131,67 @@ class TestRecipeKeys:
         wl = small_workloads(1)[0]
         r = make_recipe(wl, "inclusive", policy="belady")
         assert r.scheduling == "lockstep"
+
+
+class TestEngineSelection:
+    def test_object_and_fast_runs_share_one_cache_entry(self, monkeypatch,
+                                                        tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        wl = small_workloads(1)[0]
+        recipes = [
+            RunRecipe(workload=wl, scheme="ziv:maxrrpvnotinprc",
+                      config=tiny_config().replace(engine=engine),
+                      policy="hawkeye")
+            for engine in ("object", "fast", "auto")
+        ]
+        assert len({r.key() for r in recipes}) == 1
+        clear_memo()
+        obj = fetch_or_run(recipes[0])
+        clear_memo()
+        fast = fetch_or_run(recipes[1])  # a disk hit on the object run
+        assert cache_info()["entries"] == 1
+        assert summarise(fast) == summarise(obj)
+        clear_memo()
+
+    def test_auto_resolves_through_supports(self):
+        wl = small_workloads(1)[0]
+        cfg = tiny_config()
+        assert cfg.engine == "auto"
+        assert RunRecipe(wl, "inclusive", cfg, "hawkeye").engine() == "fast"
+        assert RunRecipe(wl, "ziv:notinprc", cfg).engine() == "fast"
+        for recipe in (
+            RunRecipe(wl, "qbs", cfg),
+            RunRecipe(wl, "ziv:likelydead", cfg),
+            RunRecipe(wl, "inclusive", cfg, "belady", "lockstep"),
+            RunRecipe(wl, "inclusive", cfg, "drrip"),
+            RunRecipe(wl, "inclusive", cfg, "hawkeye",
+                      policy_kwargs=(("sample_every", 2),)),
+            RunRecipe(wl, "inclusive", cfg.replace(engine="object")),
+        ):
+            assert recipe.engine() == "object", recipe
+        assert build_hierarchy(cfg, "inclusive").engine_name == "fast"
+        assert build_hierarchy(cfg, "qbs").engine_name == "object"
+
+    def test_auto_runs_belady_on_the_object_engine(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        wl = small_workloads(1)[0]
+        recipe = make_recipe(wl, "inclusive", policy="belady",
+                             config=tiny_config())
+        assert recipe.config.engine == "auto"
+        assert recipe.engine() == "object"
+        assert recipe.execute().stats.total_accesses == wl.total_accesses()
+
+    def test_explicit_fast_outside_the_envelope_raises(self):
+        wl = small_workloads(1)[0]
+        cfg = tiny_config().replace(engine="fast")
+        for recipe in (
+            RunRecipe(wl, "qbs", cfg),
+            RunRecipe(wl, "ziv:likelydead", cfg),
+            RunRecipe(wl, "inclusive", cfg, "belady", "lockstep"),
+        ):
+            assert recipe.engine() == "fast"
+            with pytest.raises(UnsupportedConfigError):
+                recipe.execute()
 
 
 class TestDiskCache:

@@ -361,7 +361,7 @@ class TestProgress:
 
     def test_heartbeats_carry_recipe_key_and_engine(self):
         wl = homogeneous_mix("mcf.1", cores=2, n_accesses=300)
-        cfg = tiny_config()
+        cfg = tiny_config().replace(engine="object")
         recipes = [
             make_recipe(wl, scheme, config=cfg)
             for scheme in ("inclusive", "qbs")
