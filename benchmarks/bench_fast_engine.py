@@ -3,52 +3,61 @@
 
 Measures, with the same methodology as ``bench_parallel_runner.py``
 (fresh hierarchy per run, construction time included, quick-scale mix,
-accesses/second derived from retired instructions):
+inclusive/LRU, each window ``--instructions`` retired instructions long):
 
-* ``object_access_rate_per_s`` -- the reference object engine
-* ``fast_access_rate_per_s``   -- ``repro.sim.fast.FastHierarchy``
-* ``fast_speedup``             -- the ratio of the two
+* ``object_instructions_per_s`` / ``object_accesses_per_s`` -- the
+  reference object engine, in retired instructions (gap + 1 per trace
+  record) and in memory accesses (trace records) per second;
+* ``fast_instructions_per_s`` / ``fast_accesses_per_s`` --
+  ``repro.sim.fast.FastHierarchy``, the same two units;
+* ``fast_speedup`` -- the ratio of the instruction rates (one workload,
+  so the access rates give the same ratio);
 
 and then runs the differential grid (every supported scheme x policy x
 directory mode, audited) so the speedup number is only ever reported
-next to a machine-checked zero-divergence count.  Run as a script to
-(re)generate ``BENCH_pr6.json`` at the repository root:
+next to a machine-checked zero-divergence count.  The report is printed
+as JSON; ``--out PATH`` also writes it to a file:
 
-    PYTHONPATH=src python benchmarks/bench_fast_engine.py
+    PYTHONPATH=src python benchmarks/bench_fast_engine.py --out /tmp/b.json
 
 ``--min-speedup N`` turns the report into a gate (exit code 1 below N);
-CI's perf-smoke job runs with ``--min-speedup 5``.
+CI's perf-smoke job runs with ``--min-speedup 5``.  The committed
+``BENCH_pr6.json`` came from this script's earlier form, whose
+``*_access_rate_per_s`` fields counted instructions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
 
-
-def measure_access_rate(engine: str, n_accesses: int = 240_000) -> float:
-    """Raw hot-path throughput (accesses/second) for one engine.
+def measure_rates(
+    engine: str, n_instructions: int = 240_000
+) -> tuple[float, float]:
+    """Raw hot-path throughput for one engine: (instructions/s,
+    accesses/s).
 
     Same methodology as ``bench_parallel_runner.measure_access_rate``:
     a fresh hierarchy is built for every run (construction is part of
     the cost for both engines) and the quick-scale mix is replayed until
-    ``n_accesses`` retired accesses accumulate.  The default window is
-    4x the parallel-runner bench's: the fast engine retires the old 60k
-    window in ~0.1s, short enough for scheduler noise to dominate."""
+    ``n_instructions`` retired instructions accumulate.  The default
+    window is 4x the parallel-runner bench's: the fast engine retires
+    the old 60k window in ~0.1s, short enough for scheduler noise to
+    dominate."""
     from repro.experiments.common import get_scale, mix_population
     from repro.params import scaled_config
     from repro.sim.engine import Simulation
 
     wl = mix_population(get_scale("quick"))[0]
     cfg = scaled_config("256KB")
-    total = 0
+    instructions = accesses = 0
     t0 = time.perf_counter()
-    while total < n_accesses:
+    while instructions < n_instructions:
         if engine == "fast":
             from repro.sim.fast import FastHierarchy
 
@@ -60,8 +69,10 @@ def measure_access_rate(engine: str, n_accesses: int = 240_000) -> float:
             h = CacheHierarchy(cfg, make_scheme("inclusive"),
                                llc_policy="lru")
         r = Simulation(h, wl).run()
-        total += sum(c.instructions for c in r.stats.cores)
-    return total / (time.perf_counter() - t0)
+        instructions += sum(c.instructions for c in r.stats.cores)
+        accesses += sum(c.accesses for c in r.stats.cores)
+    seconds = time.perf_counter() - t0
+    return instructions / seconds, accesses / seconds
 
 
 def run_differential_grid():
@@ -76,29 +87,29 @@ def run_differential_grid():
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=OUT_PATH,
-                        help=f"report path (default: {OUT_PATH.name})")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="also write the JSON report to this path")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="exit 1 if fast/object falls below this")
-    parser.add_argument("--accesses", type=int, default=240_000,
-                        help="accesses per throughput measurement")
+    parser.add_argument("--instructions", type=int, default=240_000,
+                        help="retired instructions per throughput "
+                             "measurement")
     parser.add_argument("--repeats", type=int, default=3,
                         help="measurements per engine; the best is kept")
     args = parser.parse_args()
 
     # Best-of-N: each trial's rate is depressed only by interference, so
     # the maximum is the least-contended estimate of the engine's speed.
-    object_rate = max(
-        measure_access_rate("object", args.accesses)
-        for _ in range(args.repeats)
-    )
-    print(f"object engine: {object_rate:8.0f} accesses/s")
-    fast_rate = max(
-        measure_access_rate("fast", args.accesses)
-        for _ in range(args.repeats)
-    )
-    print(f"fast engine:   {fast_rate:8.0f} accesses/s")
-    speedup = fast_rate / object_rate
+    rates = {}
+    for engine in ("object", "fast"):
+        instr_rate, access_rate = max(
+            measure_rates(engine, args.instructions)
+            for _ in range(args.repeats)
+        )
+        rates[engine] = (instr_rate, access_rate)
+        print(f"{engine + ' engine:':14s} {instr_rate:8.0f} instructions/s "
+              f"{access_rate:8.0f} accesses/s")
+    speedup = rates["fast"][0] / rates["object"][0]
     print(f"speedup:       {speedup:8.2f}x")
 
     reports, verdict = run_differential_grid()
@@ -107,22 +118,31 @@ def main() -> int:
 
     payload = {
         "bench": "fast_engine",
+        "cpus": os.cpu_count() or 1,
         "scale": "quick",
         "methodology": "bench_parallel_runner.measure_access_rate: fresh "
                        "hierarchy per run, construction included, "
-                       "quick-scale mix, inclusive/lru; best of "
-                       f"{args.repeats} runs per engine",
-        "accesses_per_measurement": args.accesses,
+                       "quick-scale mix, inclusive/lru, windows of "
+                       f"{args.instructions} retired instructions; best "
+                       f"of {args.repeats} runs per engine; *_accesses_"
+                       "per_s count trace records, *_instructions_per_s "
+                       "retired instructions (gap + 1 per record)",
+        "instructions_per_measurement": args.instructions,
         "repeats": args.repeats,
-        "object_access_rate_per_s": round(object_rate),
-        "fast_access_rate_per_s": round(fast_rate),
+        "object_instructions_per_s": round(rates["object"][0]),
+        "object_accesses_per_s": round(rates["object"][1]),
+        "fast_instructions_per_s": round(rates["fast"][0]),
+        "fast_accesses_per_s": round(rates["fast"][1]),
         "fast_speedup": round(speedup, 2),
         "differential_grid_cells": len(reports),
         "differential_divergences": divergences,
         "differential_audit_clean": divergences == 0,
     }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    text = json.dumps(payload, indent=2) + "\n"
+    print(text, end="")
+    if args.out is not None:
+        args.out.write_text(text)
+        print(f"wrote {args.out}")
 
     if divergences:
         print(f"FAIL: {divergences} divergence(s) on the grid")

@@ -8,7 +8,8 @@ integers instead of per-block objects:
 * **LLC** -- one tag list indexed by ``pos = (bank * sets_per_bank + set)
   * ways + way`` with ``-1`` marking an invalid way, one packed metadata
   list (bit 0 = dirty, bit 1 = relocated, bit 2 = NotInPrC, bit 3 = NRU,
-  bits 4+ = RRPV) and one LRU-stamp list, plus a single address -> pos
+  bits 4+ = RRPV) and one LRU-stamp list (``_NO_STAMP`` on invalid
+  ways, 0 on every valid way outside LRU), plus a single address -> pos
   dict covering home and relocated copies (the two never coexist for one
   address, and the relocated bit disambiguates a relocated block that
   happens to sit in its home set).  Hawkeye adds per-position
@@ -23,8 +24,12 @@ integers instead of per-block objects:
   when none).  ZeroDEV spill entries live in the *same* arrays, in slots
   appended past the fixed slice storage and recycled through a free list.
 * **Property vectors** -- the real :class:`PropertyVector` objects (whose
-  packed-integer bits and Algorithm 1 nextRS are already array-state) fed
-  by a single-scan refresh over the packed metadata.
+  packed-integer bits and Algorithm 1 nextRS are already array-state).
+  Two per-set counters, valid NotInPrC lines and valid NotInPrC lines at
+  the maximum RRPV, move with each state change that can flip a property
+  (a NotInPrC flip, an RRPV reaching or leaving its maximum, a fill or
+  an eviction, as in paper III-D), so a set's refresh reads its bits in
+  O(1) instead of rescanning the set's ways.
 
 Every statement of the object engine's access flow is ported in order:
 counter increments, NRU touches, DRAM request ordering, PV refreshes and
@@ -80,6 +85,10 @@ SUPPORTED_POLICIES = frozenset({"lru", "srrip", "nru", "hawkeye"})
 
 #: RRPV width shared by every supported policy (ReplacementPolicy.max_rrpv).
 _MAX_RRPV = 7
+
+#: LRU stamp of an invalid LLC way: above every clock value, so the
+#: minimum of a set's stamp slice is its LRU *valid* line.
+_NO_STAMP = 1 << 62
 
 
 def supports(
@@ -191,10 +200,14 @@ class FastHierarchy:
         n = llc.banks * self.bank_size
         self.llc_tag = [-1] * n
         self.llc_meta = [0] * n
-        self.llc_stamp = [0] * n
+        self.llc_stamp = [_NO_STAMP] * n
         self.llc_map: dict[int, int] = {}  # addr -> pos (home or relocated)
         self.llc_clock = [0] * llc.banks  # per-bank monotone LRU clock
         self.llc_vcount = [0] * (llc.banks * llc.sets_per_bank)
+        # ZIV only: valid NotInPrC lines per set, and those of them at
+        # RRPV max_rrpv (a relocated line is never NotInPrC).
+        self.llc_nip = [0] * (llc.banks * llc.sets_per_bank)
+        self.llc_maxnip = [0] * (llc.banks * llc.sets_per_bank)
 
         # -- private caches ------------------------------------------------
         self._l1s = [
@@ -266,6 +279,7 @@ class FastHierarchy:
         # site inside the envelope).  ``_pc`` is the PC of the access in
         # flight, set once per LLC access; only Hawkeye reads it.
         self._pc = 0
+        self._lru_stamps = llc_policy == "lru"  # else every stamp is 0
         self._llc_evict = None
         self._llc_reloc_fill = self._reloc_fill_pos_default
         if llc_policy == "lru":
@@ -478,6 +492,8 @@ class FastHierarchy:
         extra = 0
         if dpos >= 0:
             extra = self._coherence_on_miss(core, addr, dpos, is_write, cycle)
+        if self._ziv:
+            self._nip_leave(hp)
         self._llc_touch(hp)
         self.llc_meta[hp] &= ~4  # not_in_prc = False
         if self._ziv:
@@ -732,6 +748,8 @@ class FastHierarchy:
         self._dir_free(naddr)
         hp = self.llc_map.get(naddr, -1)
         if hp >= 0 and not (self.llc_meta[hp] & 2):
+            if self._ziv:
+                self._nip_enter(hp)
             m = self.llc_meta[hp] | 4  # not_in_prc = True
             if ndirty:
                 m |= 1
@@ -755,6 +773,7 @@ class FastHierarchy:
             self._llc_evict(rp)
         del self.llc_map[addr]
         self.llc_tag[rp] = -1
+        self.llc_stamp[rp] = _NO_STAMP
         sid = rp // self.llc_ways
         self.llc_vcount[sid] -= 1
         if dirty:
@@ -901,6 +920,7 @@ class FastHierarchy:
                 self._llc_evict(reloc)
             del self.llc_map[self.llc_tag[reloc]]
             self.llc_tag[reloc] = -1
+            self.llc_stamp[reloc] = _NO_STAMP
             sid = reloc // self.llc_ways
             self.llc_vcount[sid] -= 1
             if dirty:
@@ -910,6 +930,8 @@ class FastHierarchy:
             return
         hp = self.llc_map.get(daddr, -1)
         if hp >= 0 and not (self.llc_meta[hp] & 2):
+            if self._ziv:
+                self._nip_enter(hp)
             m = self.llc_meta[hp] | 4
             if dirty_any:
                 m |= 1
@@ -965,10 +987,13 @@ class FastHierarchy:
         """Evict the valid block at ``pos``; dirty data goes to memory."""
         if self._llc_evict is not None:
             self._llc_evict(pos)
+        if self._ziv:
+            self._nip_leave(pos)
         m = self.llc_meta[pos]
         addr = self.llc_tag[pos]
         del self.llc_map[addr]
         self.llc_tag[pos] = -1
+        self.llc_stamp[pos] = _NO_STAMP
         self.llc_vcount[pos // self.llc_ways] -= 1
         if m & 1:
             self._writeback(addr, cycle)
@@ -1014,20 +1039,23 @@ class FastHierarchy:
 
     def _victim_srrip(self, base: int) -> int:
         metas = self.llc_meta
-        end = base + self.llc_ways
-        current_max = 0
-        for p in range(base, end):
-            r = metas[p] >> 4
-            if r > current_max:
-                current_max = r
-        delta = _MAX_RRPV - current_max
-        if delta > 0:
-            inc = delta << 4
-            for p in range(base, end):
-                metas[p] += inc
-        for p in range(base, end):
-            if (metas[p] >> 4) >= _MAX_RRPV:
-                return p
+        ways = self.llc_ways
+        end = base + ways
+        seg = metas[base:end]
+        top = max(seg) >> 4  # the set's highest RRPV (the set is full)
+        if top < _MAX_RRPV:
+            inc = (_MAX_RRPV - top) << 4
+            seg = [m + inc for m in seg]
+            metas[base:end] = seg
+            if self._ziv:
+                # No line sat at max_rrpv before aging; now the lines
+                # that held ``top`` do.
+                self.llc_maxnip[base // ways] = [
+                    m & 0xF4 for m in seg
+                ].count((_MAX_RRPV << 4) | 4)
+        for way, m in enumerate(seg):
+            if (m >> 4) >= _MAX_RRPV:
+                return base + way
         raise AssertionError("aging must expose a max-RRPV block")
 
     def _fill_pos_nru(self, pos: int) -> None:
@@ -1076,7 +1104,9 @@ class FastHierarchy:
     def _fill_pos_hawkeye(self, pos: int) -> None:
         """HawkeyePolicy.on_fill: observe, then predict; a friendly fill
         (RRPV 0, already clear on entry) ages the set's other valid
-        lines below ``max_rrpv - 1``."""
+        lines below ``max_rrpv - 1``.  Aging stops at ``max_rrpv - 1``,
+        so it moves no line onto or off ``max_rrpv`` and leaves the
+        set's ``llc_maxnip`` count as it was."""
         ways = self.llc_ways
         sid = pos // ways
         pc = self._pc
@@ -1093,7 +1123,9 @@ class FastHierarchy:
                 metas[p] += 1 << 4
 
     def _touch_pos_hawkeye(self, pos: int) -> None:
-        """HawkeyePolicy.on_hit: observe, then re-predict (no aging)."""
+        """HawkeyePolicy.on_hit: observe, then re-predict (no aging).
+        The line touched is either relocated or a home hit that drops
+        out of the NotInPrC counters first, so no counter moves here."""
         pc = self._pc
         self._hk_observe(pos // self.llc_ways, self.llc_tag[pos], pc)
         m = self.llc_meta[pos] & 0xF
@@ -1310,9 +1342,11 @@ class FastHierarchy:
         maddr = tags[src_pos]
         mmeta = self.llc_meta[src_pos]
         was_relocated = bool(mmeta & 2)
-        # extract (no policy eviction hook -- the block stays in the LLC)
+        # extract (no policy eviction hook -- the block stays in the LLC;
+        # it is privately cached, so no NotInPrC counter moves)
         del self.llc_map[maddr]
         tags[src_pos] = -1
+        self.llc_stamp[src_pos] = _NO_STAMP
         self.llc_vcount[src_sid] -= 1
         # install relocated: keeps address and dirtiness, Relocated on,
         # replacement state from the policy's relocation-fill hook
@@ -1358,42 +1392,55 @@ class FastHierarchy:
 
     # ------------------------------------------------------- property vectors
 
+    def _nip_enter(self, pos: int) -> None:
+        """The valid home line at ``pos`` is about to turn NotInPrC: its
+        last private copy just left (until now it was privately cached,
+        so not counted)."""
+        sid = pos // self.llc_ways
+        self.llc_nip[sid] += 1
+        if (self.llc_meta[pos] >> 4) >= _MAX_RRPV:
+            self.llc_maxnip[sid] += 1
+
+    def _nip_leave(self, pos: int) -> None:
+        """The valid line at ``pos`` stops counting as NotInPrC (a hit,
+        an eviction or a relocation is about to change it)."""
+        m = self.llc_meta[pos]
+        if m & 4:
+            sid = pos // self.llc_ways
+            self.llc_nip[sid] -= 1
+            if (m >> 4) >= _MAX_RRPV:
+                self.llc_maxnip[sid] -= 1
+
     def _refresh(self, sid: int) -> None:
-        """Recompute every tracked property bit of one LLC set (one
-        associativity-wide scan over the packed metadata)."""
+        """Rewrite every tracked property bit of one LLC set in O(1).
+
+        The set's valid count and its two NotInPrC counters give the
+        invalid, notinprc and maxrrpvnotinprc bits directly.  The
+        lrunotinprc bit needs the NotInPrC bit of the set's LRU valid
+        line, looked up only when the set holds a NotInPrC line: under
+        LRU (or with invalid ways, which hold ``_NO_STAMP``) the minimum
+        of its stamp slice; otherwise every stamp is 0 and it is the
+        first way."""
         bank = sid // self.llc_spb
         set_idx = sid - bank * self.llc_spb
-        base = sid * self.llc_ways
-        tags = self.llc_tag
-        metas = self.llc_meta
-        stamps = self.llc_stamp
-        has_nip = False
-        has_maxrrpv_nip = False
-        lru_pos = -1
-        lru_stamp = 0
-        for p in range(base, base + self.llc_ways):
-            if tags[p] < 0:
-                continue
-            m = metas[p]
-            if m & 4:
-                has_nip = True
-                if (m >> 4) >= _MAX_RRPV:
-                    has_maxrrpv_nip = True
-            sp = stamps[p]
-            if lru_pos < 0 or sp < lru_stamp:
-                lru_pos = p
-                lru_stamp = sp
         pv_invalid, pv_nip, pv_lru, pv_maxrrpv = self._fast_pvs[bank]
-        if pv_invalid is not None:
-            pv_invalid.set_bit(set_idx, self.llc_vcount[sid] < self.llc_ways)
-        if pv_nip is not None:
-            pv_nip.set_bit(set_idx, has_nip)
+        ways = self.llc_ways
+        nip = self.llc_nip[sid]
+        full = self.llc_vcount[sid] == ways
+        # every supported ladder tracks invalid and notinprc
+        pv_invalid.set_bit(set_idx, not full)
+        pv_nip.set_bit(set_idx, nip > 0)
         if pv_lru is not None:
-            pv_lru.set_bit(
-                set_idx, lru_pos >= 0 and bool(metas[lru_pos] & 4)
-            )
+            lru_nip = False
+            if nip:
+                pos = sid * ways
+                if self._lru_stamps or not full:
+                    seg = self.llc_stamp[pos:pos + ways]
+                    pos += seg.index(min(seg))
+                lru_nip = bool(self.llc_meta[pos] & 4)
+            pv_lru.set_bit(set_idx, lru_nip)
         if pv_maxrrpv is not None:
-            pv_maxrrpv.set_bit(set_idx, has_maxrrpv_nip)
+            pv_maxrrpv.set_bit(set_idx, self.llc_maxnip[sid] > 0)
 
     # ------------------------------------------------------------------- DRAM
 
@@ -1510,7 +1557,7 @@ class FastHierarchy:
 
         Exact port of ``Simulation._run_timing`` + :meth:`access` with the
         dominant paths (private fills, directory allocation, DRAM, the
-        inclusive/non-inclusive LLC install and the eviction-notice
+        LLC install over LRU/SRRIP/NRU and the eviction-notice
         handshake) inlined into one loop body.  Address-derived values
         come precomputed per record (:meth:`_decode_trace`), and the hot
         counters are tracked as a handful of per-path tallies from which
@@ -1519,7 +1566,8 @@ class FastHierarchy:
         state -- ``Simulation.run`` delegates here exactly when both the
         audit and telemetry hooks are absent, so counters are only ever
         read after the flush.  Rare paths (relocated hits, coherence
-        forwards, ZIV installs, spills) reuse the per-access methods;
+        forwards, ZIV relocations, Hawkeye installs, spills) reuse the
+        per-access methods;
         their direct ``self.stats``/``self.energy`` increments commute
         with the batched flush.
 
@@ -1542,6 +1590,8 @@ class FastHierarchy:
         llc_stamp = self.llc_stamp
         llc_vcount = self.llc_vcount
         llc_clock = self.llc_clock
+        llc_nip = self.llc_nip
+        llc_maxnip = self.llc_maxnip
         bank_mask = self.llc_bank_mask
         bank_bits = self.llc_bank_bits
         set_mask = self.llc_set_mask
@@ -1580,8 +1630,9 @@ class FastHierarchy:
         # access in flight from ``self._pc``.
         hawkeye = pol == "hawkeye"
         touch = self._llc_touch
-        # inline install for inclusive/noninclusive over LRU/SRRIP/NRU
-        baseline_install = not ziv and not hawkeye
+        # inline install over LRU/SRRIP/NRU; a ZIV victim that a private
+        # cache holds takes the relocation path
+        inline_install = not hawkeye
         dch_mask = self._dram_ch_mask
         dch_shift = self._dram_ch_shift
         dbpc = self._dram_bpc
@@ -1739,6 +1790,12 @@ class FastHierarchy:
                                         extra = self._coherence_on_miss(
                                             core, addr, dpos, is_write, issue
                                         )
+                            if ziv:
+                                m = llc_meta[hp]
+                                if m & 4:
+                                    llc_nip[sid] -= 1
+                                    if (m >> 4) >= _MAX_RRPV:
+                                        llc_maxnip[sid] -= 1
                             if pol_lru:
                                 llc_clock[bank] += 1
                                 llc_stamp[hp] = llc_clock[bank]
@@ -1750,7 +1807,7 @@ class FastHierarchy:
                                 touch(hp)
                             llc_meta[hp] &= ~4
                             if ziv:
-                                refresh(hp // ways)
+                                refresh(sid)
                             n_hit += 1
                             if dpos < 0:
                                 dpos = self._dir_allocate(addr, issue)
@@ -1784,16 +1841,16 @@ class FastHierarchy:
                                 dram_lat = wait + dram_conflict
                             dram_open[gb] = row
                             dram_ready[gb] = issue + wait + dram_busy
-                            if baseline_install:
+                            if inline_install:
                                 ibase = sid * ways
                                 if llc_vcount[sid] < ways:
                                     ip = llc_tag.index(-1, ibase,
                                                        ibase + ways)
                                     llc_vcount[sid] += 1
                                 else:
-                                    # evict + install: the victim's tag
-                                    # and the set's valid count are
-                                    # overwritten below, so neither is
+                                    # evict + install: the victim's tag,
+                                    # stamp and the set's valid count are
+                                    # overwritten below, so none is
                                     # reset here
                                     if pol_lru:
                                         seg = llc_stamp[ibase:ibase + ways]
@@ -1801,44 +1858,62 @@ class FastHierarchy:
                                     else:
                                         ip = victim(ibase)
                                     vaddr = llc_tag[ip]
-                                    if inclusive:
+                                    if inclusive:  # ZIV schemes too
                                         vd = d_map.get(vaddr, -1)
                                         if 0 <= vd < d_slice:
                                             d_nru[vd] = True
                                         if vd >= 0 and d_sharers[vd]:
-                                            self._back_invalidate(
-                                                vaddr, issue
+                                            if ziv:
+                                                # it installs addr
+                                                self._relocation_path(
+                                                    bank, sid, ip, addr,
+                                                    issue
+                                                )
+                                                ip = -1
+                                            else:
+                                                self._back_invalidate(
+                                                    vaddr, issue
+                                                )
+                                    if ip >= 0:
+                                        m = llc_meta[ip]
+                                        if ziv and m & 4:
+                                            llc_nip[sid] -= 1
+                                            if (m >> 4) >= _MAX_RRPV:
+                                                llc_maxnip[sid] -= 1
+                                        del llc_map[vaddr]
+                                        if m & 1:
+                                            # dirty writeback: latency is
+                                            # discarded, only bank state
+                                            # moves
+                                            vrest = vaddr >> dch_shift
+                                            vgb = ((vaddr & dch_mask) * dbpc
+                                                   + (vrest & dbk_mask))
+                                            vw = dram_ready[vgb] - issue
+                                            if vw < 0:
+                                                vw = 0
+                                            dram_open[vgb] = (
+                                                (vrest >> dbk_shift)
+                                                >> drow_bits
                                             )
-                                    m = llc_meta[ip]
-                                    del llc_map[vaddr]
-                                    if m & 1:
-                                        # dirty writeback: latency is
-                                        # discarded, only bank state moves
-                                        vrest = vaddr >> dch_shift
-                                        vgb = ((vaddr & dch_mask) * dbpc
-                                               + (vrest & dbk_mask))
-                                        vw = dram_ready[vgb] - issue
-                                        if vw < 0:
-                                            vw = 0
-                                        dram_open[vgb] = (
-                                            (vrest >> dbk_shift) >> drow_bits
-                                        )
-                                        dram_ready[vgb] = (
-                                            issue + vw + dram_busy
-                                        )
-                                        n_wb += 1
-                                llc_tag[ip] = addr
-                                llc_map[addr] = ip
-                                if pol_lru:
-                                    llc_meta[ip] = 0
-                                    llc_clock[bank] += 1
-                                    llc_stamp[ip] = llc_clock[bank]
-                                elif pol_srrip:
-                                    llc_meta[ip] = (_MAX_RRPV - 1) << 4
-                                    llc_stamp[ip] = 0
-                                else:
-                                    llc_meta[ip] = 8
-                                    llc_stamp[ip] = 0
+                                            dram_ready[vgb] = (
+                                                issue + vw + dram_busy
+                                            )
+                                            n_wb += 1
+                                if ip >= 0:
+                                    llc_tag[ip] = addr
+                                    llc_map[addr] = ip
+                                    if pol_lru:
+                                        llc_meta[ip] = 0
+                                        llc_clock[bank] += 1
+                                        llc_stamp[ip] = llc_clock[bank]
+                                    elif pol_srrip:
+                                        llc_meta[ip] = (_MAX_RRPV - 1) << 4
+                                        llc_stamp[ip] = 0
+                                    else:
+                                        llc_meta[ip] = 8
+                                        llc_stamp[ip] = 0
+                                    if ziv:
+                                        refresh(sid)
                             else:
                                 install(addr, issue)
                             # ---- directory allocate (fused) --------------
@@ -1960,13 +2035,19 @@ class FastHierarchy:
                                 d_reloc[nd] = -1
                                 hp2 = llc_map.get(naddr, -1)
                                 if hp2 >= 0 and not (llc_meta[hp2] & 2):
-                                    m2 = llc_meta[hp2] | 4
+                                    m2 = llc_meta[hp2]
+                                    if ziv:
+                                        nsid = hp2 // ways
+                                        llc_nip[nsid] += 1
+                                        if (m2 >> 4) >= _MAX_RRPV:
+                                            llc_maxnip[nsid] += 1
+                                    m2 |= 4
                                     if ndirty:
                                         m2 |= 1
                                         n_wb_in += 1
                                     llc_meta[hp2] = m2
                                     if ziv:
-                                        refresh(hp2 // ways)
+                                        refresh(nsid)
                                 elif ndirty:
                                     nrest = naddr >> dch_shift
                                     ngb = ((naddr & dch_mask) * dbpc
